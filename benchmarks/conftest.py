@@ -1,9 +1,8 @@
 """Shared benchmark fixtures and the BENCH_smc.json recorder.
 
 Benchmarks in ``test_bench_smc.py`` report structured measurements
-(per-figure median step latency for the inline loop vs the parallel
-executors, and with the log-prob cache on vs off) through the
-``smc_bench`` fixture; at session end everything recorded is written as
+(per-figure median step latency of the object and columnar runtimes)
+through the ``smc_bench`` fixture; at session end everything recorded is written as
 strict JSON to ``BENCH_smc.json`` in the repository root (override the
 path with the ``BENCH_SMC_OUT`` environment variable).  CI uploads the
 file as an artifact so speedups are tracked per-commit.

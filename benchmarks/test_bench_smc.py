@@ -1,30 +1,19 @@
-"""SMC hot-path benchmarks: executor backends, the log-prob cache, and
-the columnar collection runtime.
+"""SMC hot-path benchmarks: the object step vs the columnar runtime.
 
 Measures the per-figure median latency of one Algorithm-2 translate
-step (the SMC hot path) under
-
-* the legacy inline loop (``executor=None``),
-* the ``serial`` / ``thread`` / ``process`` backends of
-  :mod:`repro.parallel`,
-* the reuse-aware log-prob cache on vs off, and
-* ``collection='columnar'`` vs ``collection='object'`` across particle
-  counts (100 to 10k),
-
-and records every measurement through the ``smc_bench`` fixture so the
-session writes ``BENCH_smc.json`` (see ``conftest.py``).  Three guards
-ride along: the fig8-style workload must keep a cache hit rate of at
-least 50% when the cache is enabled, cache-on posterior estimates must
-match cache-off bitwise (memoization may never change the numbers, only
-the time), and the columnar step must beat the object step by at least
-3x at 1000 particles (the win that justifies the batched Distribution
-API).
+step (the SMC hot path) under ``collection='columnar'`` vs
+``collection='object'`` across particle counts (100 to 10k) on the
+Figure 8 workload, plus the object step on the Figure 9 HMM, and
+records every measurement through the ``smc_bench`` fixture so the
+session writes ``BENCH_smc.json`` (see ``conftest.py``).  Two guards
+ride along: the columnar step must beat the object step by at least 3x
+at 1000 particles (the win that justifies the batched Distribution
+API), and its estimates must equal the object step's bitwise.
 
 Run with ``pytest benchmarks/test_bench_smc.py -q`` (benchmarks are not
 collected by the default ``testpaths``).
 """
 
-import os
 import time
 
 import numpy as np
@@ -54,12 +43,7 @@ from repro.regression import (
     outlier_model,
 )
 
-#: Worker count for the parallel series: min(4, cores), but at least 2 so
-#: the pool actually fans out even on single-core CI runners.
-PARALLEL_WORKERS = max(2, min(4, os.cpu_count() or 1))
-
 REPETITIONS = 5
-NUM_TRACES = 100
 
 
 @pytest.fixture(scope="module")
@@ -91,72 +75,6 @@ def _median_step_latency(run_step, repetitions=REPETITIONS):
         result = run_step()
         times.append(time.perf_counter() - start)
     return float(np.median(times)), result
-
-
-def _fig8_step(setup, executor, cache, seed=7):
-    p_model, q_model, posterior = setup
-    translator = CorrespondenceTranslator(
-        p_model, q_model, coefficient_correspondence(), log_prob_cache=cache
-    )
-    config = InferenceConfig(executor=executor, workers=PARALLEL_WORKERS)
-
-    def run_step():
-        rng = np.random.default_rng(seed)
-        traces = [
-            exact_regression_trace(posterior, rng, p_model) for _ in range(NUM_TRACES)
-        ]
-        step = infer(translator, WeightedCollection.uniform(traces), rng, config=config)
-        return step.collection.estimate(lambda u: u[ADDR_SLOPE])
-
-    return run_step, translator
-
-
-@pytest.mark.parametrize("backend", [None, "serial", "thread", "process"])
-def test_fig8_step_latency_by_backend(fig8_setup, smc_bench, backend):
-    run_step, _ = _fig8_step(fig8_setup, backend, cache=True)
-    median, estimate = _median_step_latency(run_step)
-    smc_bench(
-        {
-            "figure": "fig8",
-            "series": f"executor={backend or 'inline'}",
-            "workers": 1 if backend in (None, "serial") else PARALLEL_WORKERS,
-            "cache": True,
-            "num_particles": NUM_TRACES,
-            "median_step_latency_s": median,
-        }
-    )
-    assert -2.0 < estimate < 0.5
-
-
-@pytest.mark.parametrize("cache", [True, False])
-def test_fig8_step_latency_by_cache(fig8_setup, smc_bench, cache):
-    run_step, translator = _fig8_step(fig8_setup, None, cache=cache)
-    median, _ = _median_step_latency(run_step)
-    info = translator.cache_info()
-    smc_bench(
-        {
-            "figure": "fig8",
-            "series": f"cache={'on' if cache else 'off'}",
-            "workers": 1,
-            "cache": cache,
-            "num_particles": NUM_TRACES,
-            "median_step_latency_s": median,
-            "cache_hit_rate": None if info is None else info["hit_rate"],
-        }
-    )
-    if cache:
-        assert info is not None and info["hit_rate"] >= 0.5, (
-            f"fig8 cache hit rate {info} below the 50% floor"
-        )
-
-
-def test_fig8_cache_preserves_posterior_estimates(fig8_setup):
-    """Gate: memoized densities are bitwise identical to recomputation."""
-    run_on, _ = _fig8_step(fig8_setup, None, cache=True)
-    run_off, _ = _fig8_step(fig8_setup, None, cache=False)
-    estimate_on = run_on()
-    estimate_off = run_off()
-    assert estimate_on == estimate_off
 
 
 #: Particle counts for the columnar scaling series.  The object path is
@@ -221,8 +139,6 @@ def test_fig8_columnar_particle_scaling(
             {
                 "figure": "fig8",
                 "series": f"collection={mode}",
-                "workers": 1,
-                "cache": False,
                 "num_particles": num_particles,
                 "median_step_latency_s": median,
             }
@@ -242,8 +158,6 @@ def test_fig8_columnar_speedup_gate(fig8_setup, fig8_populations, smc_bench):
         {
             "figure": "fig8",
             "series": "columnar-speedup-gate",
-            "workers": 1,
-            "cache": False,
             "num_particles": 1000,
             "median_step_latency_s": medians["columnar"],
             "object_median_step_latency_s": medians["object"],
@@ -269,8 +183,7 @@ def test_fig8_columnar_estimates_match_object_bitwise(
     assert estimates["object"] == estimates["columnar"]
 
 
-@pytest.mark.parametrize("backend", [None, "thread"])
-def test_fig9_step_latency_by_backend(fig9_setup, smc_bench, backend):
+def test_fig9_object_step_latency(fig9_setup, smc_bench):
     p_params, q_params, corpus = fig9_setup
     typed, _truth = corpus.test[0]
     observations = encode(typed)
@@ -279,7 +192,7 @@ def test_fig9_step_latency_by_backend(fig9_setup, smc_bench, backend):
     translator = CorrespondenceTranslator(
         p_model, q_model, hidden_state_correspondence()
     )
-    config = InferenceConfig(executor=backend, workers=PARALLEL_WORKERS)
+    config = InferenceConfig()
 
     def run_step():
         rng = np.random.default_rng(11)
@@ -293,9 +206,7 @@ def test_fig9_step_latency_by_backend(fig9_setup, smc_bench, backend):
     smc_bench(
         {
             "figure": "fig9",
-            "series": f"executor={backend or 'inline'}",
-            "workers": 1 if backend is None else PARALLEL_WORKERS,
-            "cache": True,
+            "series": "collection=object",
             "num_particles": 30,
             "median_step_latency_s": median,
         }

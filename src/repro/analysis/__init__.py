@@ -11,8 +11,8 @@ only at run time, deep inside a particle loop:
   :func:`check_edit`;
 * an :class:`~repro.core.config.InferenceConfig` whose field
   *combination* fails mid-run even though each field validates alone
-  (process executor with an unpicklable translator, checkpoint cadence
-  without a directory, ...) — :func:`lint_config`;
+  (checkpoint cadence without a directory, a regenerate policy without
+  a sampler, ...) — :func:`lint_config`;
 * structured-language programs, via an extended version of
   :func:`repro.lang.check.check_program` with unused-variable,
   constant-observation, and parameter-range-propagation rules —

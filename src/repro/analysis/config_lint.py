@@ -4,18 +4,13 @@ An :class:`~repro.core.config.InferenceConfig` validates its own field
 values eagerly, but some defects only exist in *combination* — with each
 other or with the translator the config will run against:
 
-* a ``process`` executor paired with a translator holding a lambda-based
-  correspondence fails at pool-submission time, deep in the worker
-  machinery;
 * a checkpoint cadence without a checkpoint directory silently
   checkpoints nothing;
 * a ``regenerate`` fault policy without any from-scratch sampler fails
   on the *first* particle fault, possibly hours in.
 
 This pass catches those combinations statically, before any particle
-work starts.  It is pure inspection: no model is executed and nothing is
-actually pickled except via :func:`repro.parallel.pickling.find_unpicklable`,
-which serializes to an in-memory buffer.
+work starts.  It is pure inspection: no model is executed.
 """
 
 from __future__ import annotations
@@ -35,19 +30,13 @@ PASS_NAME = "config"
 SERVICE_PASS_NAME = "service-config"
 
 
-def _is_process_executor(executor: Any) -> bool:
-    if executor == "process":
-        return True
-    return type(executor).__name__ == "ProcessExecutor"
-
-
 def lint_config(
     config: InferenceConfig, translator: Optional[Any] = None
 ) -> List[Diagnostic]:
     """Lint one config, optionally against the translator it will drive.
 
     Returns findings only — construction-time invariants (unknown
-    schemes, negative worker counts, ...) are already enforced by
+    schemes, negative checkpoint cadences, ...) are already enforced by
     ``InferenceConfig.__post_init__`` and cannot reach this function.
     """
     diagnostics: List[Diagnostic] = []
@@ -58,34 +47,6 @@ def lint_config(
         )
 
     policy = FaultPolicy.coerce(config.fault_policy)
-
-    # -- executor / picklability -------------------------------------------
-    if _is_process_executor(config.executor):
-        from ..parallel.pickling import find_unpicklable
-
-        for component, value in (
-            ("translator", translator),
-            ("fault_policy.regenerate_fn", policy.regenerate_fn),
-        ):
-            if value is None:
-                continue
-            culprit = find_unpicklable(value)
-            if culprit is not None:
-                finding(
-                    "error",
-                    f"executor 'process' requires picklable inputs, but "
-                    f"{culprit.describe(root=component)} cannot be pickled; "
-                    "replace it with a module-level function or class",
-                    "config-unpicklable",
-                )
-    if config.workers is not None and config.executor is None:
-        finding(
-            "warning",
-            f"workers={config.workers} has no effect because executor is "
-            "None (the legacy inline loop); set executor='thread' or "
-            "'process' to parallelize",
-            "config-workers-ignored",
-        )
 
     # -- checkpointing ------------------------------------------------------
     if config.checkpoint_every != 1 and config.checkpoint_dir is None:
@@ -129,30 +90,6 @@ def lint_config(
             "for every subsequent step; consider resample='adaptive'",
             "config-drop-accumulates",
         )
-
-    # -- columnar runtime ---------------------------------------------------
-    if config.collection == "columnar":
-        if translator is not None and getattr(translator, "cache", None) is not None:
-            finding(
-                "warning",
-                "collection='columnar' re-scores reused choices with one "
-                "batched log_prob_batch call per address, so the "
-                "translator's log-prob cache is redundant on every "
-                "columnar step (it only costs hashing on spilled steps); "
-                "drop log_prob_cache=True or use collection='object'",
-                "config-columnar-cache",
-            )
-        if _is_process_executor(config.executor):
-            finding(
-                "warning",
-                "collection='columnar' executes each step as one "
-                "vectorized pass, so executor='process' only adds "
-                "pickling/IPC overhead unless steps routinely spill to "
-                "the object path with particle counts large enough to "
-                "amortize worker startup; prefer executor=None (or "
-                "'thread' for spill-heavy workloads)",
-                "config-columnar-process-executor",
-            )
 
     # -- ablations ----------------------------------------------------------
     if not config.use_weights:

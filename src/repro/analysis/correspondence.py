@@ -21,11 +21,7 @@ those properties before any inference runs:
   types with different parameters as warnings);
 * **coverage** — unmapped target addresses and dead source addresses
   are reported as ``info`` (often deliberate, e.g. the burglary
-  refinement leaves ``earthquake`` unmapped by design);
-* **picklability** — an intensional map built from a lambda or closure
-  works in-process but cannot ship to the ``process`` executor; reported
-  as a warning here and escalated by the config lint when a process
-  backend is actually configured.
+  refinement leaves ``earthquake`` unmapped by design).
 
 Address profiles come from exhaustive trace enumeration when the model
 is finite and discrete (:func:`repro.core.enumerate.enumerate_traces`),
@@ -37,8 +33,6 @@ additionally be profiled statically via
 
 from __future__ import annotations
 
-import io
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -200,21 +194,6 @@ def _supports_compatible(
     return ever_equal, types_overlap
 
 
-def _check_picklable(correspondence: Any) -> Optional[Diagnostic]:
-    try:
-        pickle.dump(correspondence, io.BytesIO())
-        return None
-    except Exception as error:
-        return Diagnostic(
-            "warning",
-            f"correspondence {correspondence!r} is not picklable ({error}); "
-            "the 'process' executor cannot ship it to workers — use "
-            "module-level functions instead of lambdas/closures",
-            code="corr-not-picklable",
-            pass_name=PASS_NAME,
-        )
-
-
 def validate_correspondence(
     source: Model,
     target: Model,
@@ -364,10 +343,6 @@ def validate_correspondence(
                 "corr-missing-target",
                 q_address,
             )
-
-    pickling = _check_picklable(correspondence)
-    if pickling is not None:
-        diagnostics.append(pickling)
     return diagnostics
 
 

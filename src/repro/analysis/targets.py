@@ -274,8 +274,6 @@ def bundled_targets() -> TargetRegistry:
         resample="adaptive",
         ess_threshold=0.5,
         fault_policy="drop",
-        executor="thread",
-        workers=2,
     )
     registry["config:checkpointed"] = _config(
         "checkpointed",

@@ -132,33 +132,16 @@ def _fail_usage(message: str) -> NoReturn:
 
 
 class _StepTableHooks(Hooks):
-    """Prints one summary line per SMC step (``--verbose``).
-
-    Under an executor backend, translation faults happen inside workers;
-    ``SMCStats.faults_by_worker`` carries the per-worker counts back to
-    the coordinating process, and the table prints them in a dedicated
-    column (``w0=2 w1=0 ...``) so a failing worker is visible instead of
-    every fault silently aggregating — or, for process workers, getting
-    lost entirely — in the total.
-    """
+    """Prints one summary line per SMC step (``--verbose``)."""
 
     HEADER = (
         f"{'step':>4}  {'particles':>9}  {'ess':>8}  {'resampled':>9}  "
-        f"{'translate_s':>11}  {'mcmc_s':>8}  {'faults':>6}  by-worker"
+        f"{'translate_s':>11}  {'mcmc_s':>8}  {'faults':>6}"
     )
 
     def __init__(self) -> None:
         self._step: Optional[int] = None
         self._printed_header = False
-
-    @staticmethod
-    def _format_worker_faults(stats: Any) -> str:
-        by_worker = getattr(stats, "faults_by_worker", None)
-        if by_worker is None:
-            return "-"
-        return " ".join(
-            f"w{worker}={count}" for worker, count in sorted(by_worker.items())
-        )
 
     def on_step_start(self, step_index: Optional[int], num_particles: int) -> None:
         self._step = step_index
@@ -171,8 +154,7 @@ class _StepTableHooks(Hooks):
         print(
             f"{step:>4}  {stats.num_traces:>9}  {stats.ess_before_resample:>8.1f}  "
             f"{'yes' if stats.resampled else 'no':>9}  {stats.translate_seconds:>11.4f}  "
-            f"{stats.mcmc_seconds:>8.4f}  {stats.total_faults:>6}  "
-            f"{self._format_worker_faults(stats)}"
+            f"{stats.mcmc_seconds:>8.4f}  {stats.total_faults:>6}"
         )
 
 
@@ -461,7 +443,6 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     hooks = _StepTableHooks() if args.verbose else NULL_HOOKS
     config = InferenceConfig(
         fault_policy=policy, tracer=tracer, metrics=metrics, hooks=hooks,
-        executor=args.executor, workers=args.workers,
         collection=args.collection,
     )
     step = infer(translator, collection, rng, config=config)
@@ -555,8 +536,6 @@ def _sequence_config(args: argparse.Namespace, metrics, hooks) -> InferenceConfi
         resample="adaptive",
         metrics=metrics,
         hooks=hooks,
-        executor=args.executor,
-        workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         collection=getattr(args, "collection", "object"),
@@ -821,16 +800,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 trace_counts=(3, 10),
                 mcmc_iterations=(10, 30),
                 gold_iterations=2000,
-                executor=args.executor,
-                workers=args.workers,
                 collection=args.collection,
             )
             if args.quick
-            else Fig8Config(
-                executor=args.executor,
-                workers=args.workers,
-                collection=args.collection,
-            )
+            else Fig8Config(collection=args.collection)
         )
         result = run_fig8(config, tracer=tracer, metrics=metrics)
     else:
@@ -842,11 +815,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 num_test_words=4,
                 trace_counts=(1, 3),
                 gibbs_sweeps=(1,),
-                executor=args.executor,
-                workers=args.workers,
             )
             if args.quick
-            else Fig9Config(executor=args.executor, workers=args.workers)
+            else Fig9Config()
         )
         result = run_fig9(config, tracer=tracer, metrics=metrics)
 
@@ -975,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="write the metrics snapshot as strict JSON")
     translate_cmd.add_argument("-v", "--verbose", action="store_true",
                                help="print a one-line summary per SMC step")
-    _add_executor_arguments(translate_cmd)
+    _add_collection_argument(translate_cmd)
     translate_cmd.set_defaults(handler=_cmd_translate)
 
     sequence_cmd = subparsers.add_parser(
@@ -1000,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the metrics snapshot as strict JSON")
     sequence_cmd.add_argument("-v", "--verbose", action="store_true",
                               help="print a one-line summary per SMC step")
-    _add_executor_arguments(sequence_cmd)
+    _add_collection_argument(sequence_cmd)
     sequence_cmd.set_defaults(handler=_cmd_sequence)
 
     resume_cmd = subparsers.add_parser(
@@ -1022,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the metrics snapshot as strict JSON")
     resume_cmd.add_argument("-v", "--verbose", action="store_true",
                             help="print a one-line summary per SMC step")
-    _add_executor_arguments(resume_cmd)
+    _add_collection_argument(resume_cmd)
     resume_cmd.set_defaults(handler=_cmd_resume)
 
     session_cmd = subparsers.add_parser(
@@ -1138,7 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="write the span-tree trace as strict JSON")
     experiment_cmd.add_argument("--metrics-out", metavar="PATH",
                                 help="write the metrics snapshot as strict JSON")
-    _add_executor_arguments(experiment_cmd)
+    _add_collection_argument(experiment_cmd)
     experiment_cmd.set_defaults(handler=_cmd_experiment)
 
     return parser
@@ -1154,14 +1125,7 @@ def _add_checkpoint_arguments(cmd: argparse.ArgumentParser, required: bool = Fal
                           "always checkpointed)")
 
 
-def _add_executor_arguments(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--executor", choices=InferenceConfig.EXECUTOR_BACKENDS,
-                     default=None,
-                     help="particle-execution backend for the SMC translate "
-                          "phase (default: inline loop); all backends are "
-                          "byte-identical for a fixed seed")
-    cmd.add_argument("--workers", type=_positive_int, default=None,
-                     help="worker count for --executor (default: core count)")
+def _add_collection_argument(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--collection", choices=InferenceConfig.COLLECTION_MODES,
                      default="object",
                      help="particle-population representation: 'object' keeps "

@@ -46,12 +46,7 @@ def _every_address(_address: Any) -> bool:
 
 
 def full_identity_correspondence() -> Correspondence:
-    """Identity over *all* addresses: reuse every latent that persists.
-
-    The predicate is a module-level function (not a lambda) so the
-    correspondence — and every translator built on it — stays picklable
-    for the ``process`` particle executor.
-    """
+    """Identity over *all* addresses: reuse every latent that persists."""
     return Correspondence.identity_by_predicate(_every_address)
 
 
@@ -96,12 +91,7 @@ def sequential_observations(
     per-step diagnostics.
 
     ``config`` defaults to the classic particle-filter setting
-    (adaptive systematic resampling at half the particle count).  The
-    config's ``executor``/``workers`` fields apply here as in
-    :func:`~repro.core.smc.infer`: every filtering step's translate
-    phase dispatches through the selected backend (one shared pool
-    across steps), and results stay byte-identical across backends for
-    a fixed seed.
+    (adaptive systematic resampling at half the particle count).
     """
     if config is None:
         config = InferenceConfig(resample="adaptive", resampling_scheme="systematic")
@@ -170,11 +160,6 @@ def annealed_importance_sampling(
 
     Returns the final weighted collection and the log of the estimated
     normalizing-constant ratio ``log(Z_1 / Z_0)``.
-
-    As with :func:`sequential_observations`, the config's ``executor``
-    and ``workers`` select the particle backend for every rung's
-    translate phase (pass a picklable ``make_model`` product — module-
-    level model functions — when using ``"process"``).
 
     When the config sets ``checkpoint_dir``, every rung's collection and
     the RNG state at the rung boundary are snapshotted through

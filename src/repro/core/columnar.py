@@ -916,7 +916,6 @@ def columnar_infer_step(
     mcmc_kernel,
     config,
     step_index: Optional[int] = None,
-    executor: Any = None,
 ):
     """One Algorithm-2 step on columns; raises :class:`ColumnarSpill`
     when the step cannot be represented columnar (the caller falls back
@@ -988,14 +987,6 @@ def columnar_infer_step(
                 raise ColumnarSpill(
                     code, f"batched execution failed: {error!r}"
                 ) from error
-
-            if executor is not None:
-                # The object path spawns per-particle streams whenever an
-                # executor is configured; consume the same single draw so
-                # the step RNG leaves this phase in the identical state.
-                from ..parallel import spawn_particle_rngs
-
-                spawn_particle_rngs(rng, num)
 
             if hooks is not NULL_HOOKS:
                 for index in range(num):

@@ -13,9 +13,8 @@ everything that shapes an inference run:
 * **observability** — the span tracer, metrics registry, and profiling
   hooks of :mod:`repro.observability`, all defaulting to null
   implementations with no hot-path cost;
-* **execution** — the particle executor backend (``executor`` /
-  ``workers``, :mod:`repro.parallel`) that parallelizes the translate
-  phase of Algorithm 2 across threads or processes.
+* **execution** — the particle representation (``collection``), the
+  checkpoint cadence, and the opt-in static pre-flight.
 
 The config validates eagerly on construction, so a typo'd scheme fails
 in microseconds instead of minutes into a translation run, and it is
@@ -145,19 +144,6 @@ class InferenceConfig:
         Convenience RNG seed: when the ``rng`` argument of ``infer`` is
         omitted, the generator is built from this seed.  An explicit
         ``rng`` always wins.
-    executor:
-        Particle-execution backend for the translate phase: ``None``
-        (the default) keeps the legacy inline loop fed by the shared
-        step RNG; ``"serial"``, ``"thread"``, or ``"process"`` dispatch
-        through :mod:`repro.parallel` with per-particle RNG streams
-        spawned via :class:`numpy.random.SeedSequence` (all three
-        produce byte-identical collections for a fixed seed); a
-        :class:`~repro.parallel.ParticleExecutor` instance is used
-        as-is (and owns its pool lifecycle).
-    workers:
-        Worker count for a string-selected executor backend (defaults
-        to the machine's core count).  Ignored when ``executor`` is
-        ``None`` or an instance.
     tracer / metrics / hooks:
         The observability sinks (:mod:`repro.observability`).  All
         default to the null implementations, which are contractually
@@ -194,19 +180,12 @@ class InferenceConfig:
         modes.
     """
 
-    #: Executor backend names accepted as strings (mirrors
-    #: :data:`repro.parallel.EXECUTOR_BACKENDS`; kept literal here so the
-    #: config module never imports the parallel package).
-    EXECUTOR_BACKENDS = ("serial", "thread", "process")
-
     resample: str = "never"
     ess_threshold: float = 0.5
     resampling_scheme: str = "multinomial"
     use_weights: bool = True
     fault_policy: Union[str, FaultPolicy, None] = "fail_fast"
     seed: Optional[int] = None
-    executor: Union[str, Any, None] = field(default=None, compare=False)
-    workers: Optional[int] = None
     tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
     metrics: MetricsRegistry = field(default=NULL_METRICS, repr=False, compare=False)
     hooks: Hooks = field(default=NULL_HOOKS, repr=False, compare=False)
@@ -226,23 +205,6 @@ class InferenceConfig:
         # Normalize eagerly: downstream code always sees a FaultPolicy,
         # and a bad mode string fails here rather than mid-run.
         object.__setattr__(self, "fault_policy", FaultPolicy.coerce(self.fault_policy))
-        if isinstance(self.executor, str):
-            if self.executor not in self.EXECUTOR_BACKENDS:
-                raise ValueError(
-                    f"unknown executor backend {self.executor!r}; "
-                    f"choose from {list(self.EXECUTOR_BACKENDS)} (or pass a "
-                    "ParticleExecutor instance)"
-                )
-        elif self.executor is not None and not hasattr(self.executor, "map_translate"):
-            raise TypeError(
-                "executor must be None, a backend name, or an object with a "
-                f"map_translate method, got {self.executor!r}"
-            )
-        if self.workers is not None:
-            workers = int(self.workers)
-            if workers < 1:
-                raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-            object.__setattr__(self, "workers", workers)
         if self.checkpoint_dir is not None and not isinstance(self.checkpoint_dir, str):
             raise TypeError(
                 f"checkpoint_dir must be a directory path string or None, "

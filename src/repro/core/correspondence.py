@@ -22,9 +22,9 @@ __all__ = ["Correspondence"]
 
 
 # The stock constructors build their forward/backward maps from these
-# module-level callables rather than local closures so the resulting
-# Correspondence (and any translator holding it) stays picklable — a
-# requirement of the "process" particle executor (repro.parallel).
+# module-level callables rather than local closures so two
+# correspondences can be compared by their pickled bytes (the
+# static-vs-sampled derivation gate does exactly that).
 
 class _IdentityOverSet:
     """``f(a) = a`` when ``a`` is in a fixed address set, else None."""
@@ -42,8 +42,7 @@ class _IdentityByPredicate:
     """``f(a) = a`` when ``predicate(a)``, else None.
 
     Picklable iff the predicate is (module-level functions are; lambdas
-    are not — use :meth:`Correspondence.identity` or a named function
-    when targeting the process executor).
+    are not).
     """
 
     __slots__ = ("predicate",)
@@ -131,9 +130,7 @@ class Correspondence:
         """Identity correspondence over all addresses satisfying ``predicate``.
 
         Useful when the shared addresses form an unbounded family, e.g.
-        ``lambda a: a[0] == "hidden"`` for the HMM hidden states (pass a
-        module-level function instead of a lambda when the translator
-        must be picklable for the process executor).
+        ``lambda a: a[0] == "hidden"`` for the HMM hidden states.
         """
         forward = _IdentityByPredicate(predicate)
         return cls(forward, forward, description="identity-by-predicate")

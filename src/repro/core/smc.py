@@ -27,21 +27,15 @@ The historical per-parameter keywords (``resample=``, ``ess_threshold=``,
 but emit :class:`DeprecationWarning`; they produce byte-identical
 results to the equivalent config.
 
-Parallel execution
+One translate loop
 ------------------
 
-The translate phase treats particles independently (Lemma 2), so it can
-be dispatched through a :class:`repro.parallel.ParticleExecutor` by
-setting ``InferenceConfig(executor="serial"|"thread"|"process",
-workers=N)``.  Executor-backed steps derive per-particle RNG streams
-from one ``SeedSequence`` spawn (consuming exactly one draw from the
-step generator), so all three backends produce byte-identical
-collections for a fixed seed; the default ``executor=None`` keeps the
-historical inline loop, in which particles share the step RNG, byte-
-identical to previous releases.  With a tracer attached, an
-executor-backed step nests an ``executor.<backend>`` span (with
-particle/chunk/worker counters) inside ``smc.translate`` instead of the
-inline loop's per-particle ``translate.particle`` spans.
+The translate phase treats particles independently (Lemma 2), and the
+step runs it as one inline loop in which every particle draws from the
+shared step RNG.  Particle executors and log-prob memoization do not
+beat this loop on the cheap densities of this repository's workloads
+(measurements in ``docs/performance.md``); the vectorized alternative is
+the columnar runtime (``InferenceConfig(collection="columnar")``).
 
 Observability
 -------------
@@ -86,7 +80,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,11 +120,10 @@ class SMCStats:
     weight, so ``failed >= dropped + regenerated`` whenever retries are
     enabled; ``retried`` counts the re-attempts among them.
 
-    When the step ran through a particle executor
-    (:attr:`InferenceConfig.executor`), ``faults_by_worker`` maps each
-    worker (chunk) id to the number of failed translation attempts it
-    observed — including zeros, so a silent worker is distinguishable
-    from an unused one.  It is ``None`` for the legacy inline loop.
+    ``spill_code`` is the :class:`~repro.core.columnar.ColumnarSpill`
+    reason code when a columnar-configured step fell back to the object
+    path, and ``None`` when nothing spilled (including every step of an
+    object-configured run).
     """
 
     num_traces: int
@@ -145,13 +138,13 @@ class SMCStats:
     dropped: int = 0
     regenerated: int = 0
     mcmc_failed: int = 0
-    faults_by_worker: Optional[Dict[int, int]] = None
     #: Which runtime executed the step: ``"object"`` (one Trace per
     #: particle) or ``"columnar"`` (address-major arrays, see
     #: :mod:`repro.core.columnar`).  A columnar-configured step that
     #: spilled reports ``"object"`` — the field records what actually
     #: ran, not what was requested.
     collection_mode: str = "object"
+    spill_code: Optional[str] = None
 
     @property
     def total_faults(self) -> int:
@@ -170,12 +163,6 @@ class SMCStats:
                 f" dropped={self.dropped} regenerated={self.regenerated}"
                 f" mcmc_failed={self.mcmc_failed}]"
             )
-            if self.faults_by_worker is not None:
-                per_worker = " ".join(
-                    f"w{worker}={count}"
-                    for worker, count in sorted(self.faults_by_worker.items())
-                )
-                text += f" by-worker[{per_worker}]"
         return text
 
 
@@ -254,11 +241,6 @@ def translate_particle(
     particle's new *absolute* log weight, not an increment), and
     ``counter_deltas`` is this particle's ``(failed, retried, dropped,
     regenerated)`` contribution to the step's fault counters.
-
-    This is the unit of work shipped to executor workers
-    (:mod:`repro.parallel.worker`): it touches no shared state, so a
-    chunk of particles can run it anywhere as long as each particle gets
-    its own RNG stream.
     """
     if policy.mode == "fail_fast":
         result = validate_result(translator.translate(rng, item))
@@ -359,25 +341,11 @@ def _resolve_rng(
     raise TypeError(f"{caller}() needs an rng (or an InferenceConfig with a seed)")
 
 
-def _resolve_config_executor(config: InferenceConfig) -> Any:
-    """Resolve ``config.executor`` to a ParticleExecutor (or None).
-
-    Imported lazily so the (overwhelmingly common) ``executor=None``
-    path never touches :mod:`repro.parallel` — and so the core package
-    has no import-time dependency on it.
-    """
-    if config.executor is None:
-        return None
-    from ..parallel import resolve_executor
-
-    return resolve_executor(config.executor, config.workers)
-
-
 def _resolve_config_checkpoints(config: InferenceConfig) -> Any:
     """Build the CheckpointManager for ``config.checkpoint_dir`` (or None).
 
-    Lazy for the same reason as the executor: the default unconfigured
-    path must not import (or pay for) :mod:`repro.store`.
+    Lazy: the default unconfigured path must not import (or pay for)
+    :mod:`repro.store`.
     """
     if config.checkpoint_dir is None:
         return None
@@ -392,7 +360,7 @@ def _run_preflight(
 ) -> None:
     """The opt-in static pre-flight (``config.validate``).
 
-    Lazy like the executor/checkpoint resolvers: ``validate="off"`` (the
+    Lazy like the checkpoint resolver: ``validate="off"`` (the
     default) never imports :mod:`repro.analysis`, and the check runs
     once per ``infer``/``infer_sequence`` call — never per particle or
     per step.
@@ -411,29 +379,25 @@ def _infer_step(
     mcmc_kernel: Optional[Kernel],
     config: InferenceConfig,
     step_index: Optional[int] = None,
-    executor: Any = None,
 ) -> SMCStep:
     """One Algorithm-2 step under an already-validated config."""
+    spill_code: Optional[str] = None
     if config.collection == "columnar":
         from .columnar import ColumnarSpill, columnar_infer_step
 
         try:
             return columnar_infer_step(
-                translator,
-                traces,
-                rng,
-                mcmc_kernel,
-                config,
-                step_index=step_index,
-                executor=executor,
+                translator, traces, rng, mcmc_kernel, config, step_index=step_index
             )
-        except ColumnarSpill:
+        except ColumnarSpill as spill:
             # Spill: this step cannot be represented columnar — fall
             # through to the object path.  Spill checks that can fire on
             # a representable population run before any randomness is
             # consumed, so the replay below is byte-identical to a pure
             # object-mode run of the same step.
-            pass
+            spill_code = spill.code
+            if config.metrics.enabled:
+                config.metrics.counter(f"smc.columnar.spills.{spill_code}").inc()
     if not isinstance(traces, WeightedCollection):
         # Columnar input reaching the object path (spill, or a config
         # switch mid-sequence): materialize object traces once.
@@ -456,65 +420,26 @@ def _infer_step(
         #: Per-particle value: the log-weight increment for "ok", -inf for
         #: "dropped", the new absolute log weight for "regenerated".
         values: List[float] = []
-        faults_by_worker: Optional[Dict[int, int]] = None
-        backend_name: Optional[str] = None
         open_span = tracer.span  # hoisted: one bound-method lookup, not N
         on_particle = hooks.on_particle
         with tracer.span("smc.translate") as translate_span:
-            if executor is None:
-                # Legacy inline loop: every particle draws from the shared
-                # step RNG, byte-identical to the pre-executor behaviour.
-                for index, item in enumerate(traces.items):
-                    if trace_enabled:
-                        with open_span("translate.particle") as particle_span:
-                            outcome, trace, value, deltas = translate_particle(
-                                translator, item, rng, policy, regenerate_fn
-                            )
-                            particle_span.count(_OUTCOME_COUNTERS[outcome])
-                    else:
+            # Every particle draws from the shared step RNG.
+            for index, item in enumerate(traces.items):
+                if trace_enabled:
+                    with open_span("translate.particle") as particle_span:
                         outcome, trace, value, deltas = translate_particle(
                             translator, item, rng, policy, regenerate_fn
                         )
-                    counters.merge(deltas)
-                    on_particle(index, outcome)
-                    outcomes.append(outcome)
-                    new_items.append(trace)
-                    values.append(value)
-            else:
-                from ..parallel import spawn_particle_rngs
-
-                backend_name = getattr(executor, "name", type(executor).__name__)
-                with open_span(f"executor.{backend_name}") as executor_span:
-                    seeds = spawn_particle_rngs(rng, len(traces))
-                    results = executor.map_translate(
-                        translator, traces.items, seeds, policy, regenerate_fn
+                        particle_span.count(_OUTCOME_COUNTERS[outcome])
+                else:
+                    outcome, trace, value, deltas = translate_particle(
+                        translator, item, rng, policy, regenerate_fn
                     )
-                    faults_by_worker = {}
-                    for index, result in enumerate(results):
-                        counters.merge(
-                            (result.failed, result.retried, result.dropped,
-                             result.regenerated)
-                        )
-                        faults_by_worker[result.worker] = (
-                            faults_by_worker.get(result.worker, 0) + result.failed
-                        )
-                        # Hooks fire in particle order after the map returns,
-                        # so observers see the same sequence as the inline
-                        # loop — just batched at the end of the phase.
-                        on_particle(index, result.outcome)
-                        outcomes.append(result.outcome)
-                        new_items.append(result.trace)
-                        values.append(result.value)
-                    if trace_enabled:
-                        executor_span.count("particles", len(results))
-                        executor_span.count("chunks", len(faults_by_worker))
-                        executor_span.count(
-                            "workers", int(getattr(executor, "workers", 0))
-                        )
-                        for outcome_kind, counter in _OUTCOME_COUNTERS.items():
-                            observed = outcomes.count(outcome_kind)
-                            if observed:
-                                executor_span.count(counter, observed)
+                counters.merge(deltas)
+                on_particle(index, outcome)
+                outcomes.append(outcome)
+                new_items.append(trace)
+                values.append(value)
 
         # Vectorized weight assembly: one numpy pass instead of a Python
         # branch per particle.  "ok" carries the old weight forward (plus
@@ -599,9 +524,6 @@ def _infer_step(
         metrics.counter("smc.faults.mcmc_failed").inc(counters.mcmc_failed)
         if should_resample:
             metrics.counter("smc.resamples").inc()
-        if backend_name is not None:
-            metrics.counter(f"smc.executor.{backend_name}.steps").inc()
-            metrics.counter(f"smc.executor.{backend_name}.particles").inc(len(traces))
         metrics.histogram("smc.ess_before_resample").observe(ess_before)
         metrics.histogram("smc.translate_seconds").observe(translate_span.duration)
 
@@ -618,7 +540,7 @@ def _infer_step(
         dropped=counters.dropped,
         regenerated=counters.regenerated,
         mcmc_failed=counters.mcmc_failed,
-        faults_by_worker=faults_by_worker,
+        spill_code=spill_code,
     )
     hooks.on_step_end(stats)
     return SMCStep(collection, stats)
@@ -677,8 +599,7 @@ def infer(
     )
     rng = _resolve_rng("infer", rng, config)
     _run_preflight([translator], config)
-    executor = _resolve_config_executor(config)
-    return _infer_step(translator, traces, rng, mcmc_kernel, config, executor=executor)
+    return _infer_step(translator, traces, rng, mcmc_kernel, config)
 
 
 def infer_sequence(
@@ -751,7 +672,6 @@ def infer_sequence(
     )
     rng = _resolve_rng("infer_sequence", rng, config)
     _run_preflight(list(translators), config)
-    executor = _resolve_config_executor(config)  # resolved once, shared by all steps
     if mcmc_kernels is None:
         mcmc_kernels = [None] * len(translators)
     if len(mcmc_kernels) != len(translators):
@@ -766,8 +686,7 @@ def infer_sequence(
         step_index = step_offset + local_index
         try:
             step = _infer_step(
-                translator, collection, rng, kernel, config,
-                step_index=step_index, executor=executor,
+                translator, collection, rng, kernel, config, step_index=step_index
             )
         except DegeneracyError as error:
             if error.step is None:

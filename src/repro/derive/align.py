@@ -27,11 +27,10 @@ spaces in three stages:
    injective.  A matched indexed family contributes both per-index
    pairs and an open head-rename rule.
 
-The result is a picklable :class:`~repro.core.correspondence.Correspondence`
-(its forward/backward callables are the module-level :class:`_DerivedMap`,
-never closures, so translators built on it survive the ``process``
-executor's pickling pre-flight) plus the
-:class:`~repro.derive.report.DerivationReport` evidence.
+The result is a :class:`~repro.core.correspondence.Correspondence` (its
+forward/backward callables are the module-level :class:`_DerivedMap`,
+never closures, so two derivations compare equal by their pickled bytes)
+plus the :class:`~repro.derive.report.DerivationReport` evidence.
 """
 
 from __future__ import annotations
@@ -56,12 +55,7 @@ __all__ = ["Derivation", "derive_correspondence", "derive_label_map"]
 
 
 class _DerivedMap:
-    """Exact pairs first, then open head-rename rules for indexed tails.
-
-    Module-level (not a closure) so derived correspondences — and any
-    translator holding them — stay picklable for the ``process``
-    particle executor.
-    """
+    """Exact pairs first, then open head-rename rules for indexed tails."""
 
     __slots__ = ("pairs", "heads")
 

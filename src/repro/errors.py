@@ -53,7 +53,6 @@ __all__ = [
     "CheckpointCorruptionError",
     "SessionError",
     "ValidationError",
-    "PicklingError",
     "ServiceError",
     "BadRequestError",
     "QuotaExceededError",
@@ -201,39 +200,6 @@ class ValidationError(ReproError):
         more = len(self.diagnostics) - 5
         suffix = f"; ... {more} more" if more > 0 else ""
         return f"{base}: {details}{suffix}"
-
-
-class PicklingError(ValidationError, RuntimeError):
-    """An object graph cannot be shipped to process workers.
-
-    Raised by the :class:`~repro.parallel.ProcessExecutor` pre-flight
-    (and the config lint) *before* any chunk is submitted, naming the
-    offending attribute path — e.g.
-    ``translator.correspondence._forward.predicate`` for a lambda-based
-    intensional correspondence.  Inherits ``RuntimeError`` so the
-    pre-structured ``except RuntimeError`` call sites keep working.
-
-    Attributes
-    ----------
-    component:
-        Which executor input failed (``"translator"``,
-        ``"fault_policy"``, ``"regenerate_fn"``).
-    attribute:
-        Dotted path of the deepest unpicklable attribute within it
-        (empty when the component itself is the failure).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        component: Optional[str] = None,
-        attribute: Optional[str] = None,
-        diagnostics: Sequence[Any] = (),
-    ):
-        super().__init__(message, diagnostics)
-        self.component = component
-        self.attribute = attribute
 
 
 class ServiceError(ReproError):

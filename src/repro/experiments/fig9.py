@@ -56,13 +56,6 @@ class Fig9Config:
     rejuvenation_sweeps: int = 0
     #: Include the exact pair-state DP reference row (O(L * S^3) per word).
     include_exact: bool = True
-    #: Particle-execution backend for the incremental series (None = the
-    #: inline loop) and its worker count; see repro.parallel.
-    executor: Optional[str] = None
-    workers: Optional[int] = None
-    #: Memoize density evaluations in the per-word translators (off by
-    #: default; see docs/performance.md).
-    log_prob_cache: bool = False
 
 
 @dataclass
@@ -83,14 +76,11 @@ def _per_word_incremental(
     rejuvenation_sweeps=0,
     inference=None,
     tracer=None,
-    log_prob_cache=False,
 ):
     observations = encode(typed)
     p_model = first_order_model(p_params, observations)
     q_model = second_order_model(q_params, observations)
-    translator = CorrespondenceTranslator(
-        p_model, q_model, hidden_state_correspondence(), log_prob_cache=log_prob_cache
-    )
+    translator = CorrespondenceTranslator(p_model, q_model, hidden_state_correspondence())
     kernel = None
     if rejuvenation_sweeps > 0:
         addresses = [("hidden", i) for i in range(len(observations))]
@@ -144,12 +134,7 @@ def run_fig9(
     """
     config = config or Fig9Config()
     tracer = tracer if tracer is not None else Tracer()
-    inference = InferenceConfig(
-        tracer=tracer,
-        metrics=metrics,
-        executor=config.executor,
-        workers=config.workers,
-    )
+    inference = InferenceConfig(tracer=tracer, metrics=metrics)
     rng = np.random.default_rng(config.seed)
     corpus = generate_corpus(
         rng,
@@ -180,7 +165,6 @@ def run_fig9(
                     sweeps,
                     inference=inference,
                     tracer=tracer,
-                    log_prob_cache=config.log_prob_cache,
                 )
                 accuracies.append(
                     ground_truth_posterior_probability(collection, encode(truth))

@@ -122,12 +122,7 @@ def _align(old: Node, new: Node, mapping: Dict[str, str]) -> None:
 
 
 class _LabelHeadMap:
-    """Apply a label map to an address head, preserving loop indices.
-
-    Module-level (not a closure) so diff-derived correspondences — and
-    the lang translators built on them — stay picklable for the
-    ``process`` particle executor.
-    """
+    """Apply a label map to an address head, preserving loop indices."""
 
     __slots__ = ("labels",)
 

@@ -98,8 +98,6 @@ def second_order_model(
 
 
 def _is_hidden_address(address) -> bool:
-    # Module-level (not a lambda) so the correspondence — and any
-    # translator holding it — stays picklable for the process executor.
     return address[0] == "hidden"
 
 

@@ -353,10 +353,8 @@ def interpret(
 class _LangModelFn:
     """Module-level callable wrapping one program interpretation.
 
-    A closure would make every lang model unpicklable and rule out the
-    ``process`` particle executor; this class keeps the captured state
-    (program AST, initial bindings, observability sinks) in plain
-    attributes instead.
+    Keeps the captured state (program AST, initial bindings,
+    observability sinks) in plain attributes.
     """
 
     __slots__ = ("program", "initial", "tracer", "metrics")

@@ -67,7 +67,7 @@ from ..errors import (
     SessionError,
 )
 from ..observability import MetricsRegistry
-from ..parallel.worker import python_argv, spawn_ready_process, stop_process
+from .process import python_argv, spawn_ready_process, stop_process
 from ..store.codec import dumps, loads
 from ..store.session import _check_session_id
 from .client import _LENGTH, _read_exact
@@ -427,7 +427,7 @@ class ShardProcessHandle:
     """Lifecycle of one spawned ``python -m repro.service.shard``.
 
     Readiness is the port-file handshake from
-    :func:`repro.parallel.worker.spawn_ready_process`: the child writes
+    :func:`repro.service.process.spawn_ready_process`: the child writes
     ``<port>\\n<pid>`` only once its socket is bound, so a returned
     handle is always connectable.
     """

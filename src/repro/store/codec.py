@@ -67,7 +67,7 @@ import dataclasses
 import json
 import pickle
 import struct
-from typing import Any, Dict, List, Type
+from typing import AbstractSet, Any, Dict, List, Type
 
 import numpy as np
 
@@ -133,6 +133,39 @@ DISTRIBUTION_REGISTRY: Dict[str, Type] = _distribution_registry()
 
 #: Every structured-language AST node class, by class name.
 AST_REGISTRY: Dict[str, Type] = _dataclass_registry(lang_ast, lang_ast.Node)
+
+#: ``SMCStats`` fields that older writers stored and the class no longer
+#: has; dropped on decode so their checkpoints still resume.
+_RETIRED_STATS_FIELDS = frozenset({"faults_by_worker"})
+
+
+def _construct(cls: Type, payload: Any, retired: AbstractSet[str] = frozenset()) -> Any:
+    """Decode ``payload``'s fields and build the dataclass ``cls`` from them.
+
+    A field set that does not match the class's constructor (an unknown
+    key, a missing required one, a non-object payload) raises
+    :class:`~repro.errors.CodecError` instead of a bare ``TypeError``.
+    Keys named in ``retired`` are dropped before the check.
+    """
+    if not isinstance(payload, dict):
+        raise CodecError(
+            f"{cls.__name__} fields must be an object, got {type(payload).__name__}"
+        )
+    init_fields = [f for f in dataclasses.fields(cls) if f.init]
+    names = {f.name for f in init_fields}
+    unknown = sorted(set(payload) - names - set(retired))
+    if unknown:
+        raise CodecError(f"unknown {cls.__name__} field(s) in document: {unknown}")
+    missing = [
+        f.name
+        for f in init_fields
+        if f.name not in payload
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise CodecError(f"{cls.__name__} document lacks required field(s) {missing}")
+    return cls(**{k: decode_value(v) for k, v in payload.items() if k in names})
 
 
 def _init_field_values(obj: Any) -> Dict[str, Any]:
@@ -547,15 +580,13 @@ def decode_value(value: Any) -> Any:
             cls = DISTRIBUTION_REGISTRY.get(name)
             if cls is None:
                 raise CodecError(f"unknown distribution class in document: {name!r}")
-            params = {k: decode_value(v) for k, v in value["p"].items()}
-            return cls(**params)
+            return _construct(cls, value["p"])
         if tag == "$ast":
             name = value["$ast"]
             cls = AST_REGISTRY.get(name)
             if cls is None:
                 raise CodecError(f"unknown AST node class in document: {name!r}")
-            fields = {k: decode_value(v) for k, v in value["f"].items()}
-            return cls(**fields)
+            return _construct(cls, value["f"])
         if tag == "$trace":
             return _decode_trace(value["$trace"])
         if tag == "$graph":
@@ -565,8 +596,7 @@ def decode_value(value: Any) -> Any:
         if tag == "$ccoll":
             return _decode_columnar(value["$ccoll"])
         if tag == "$stats":
-            fields = {k: decode_value(v) for k, v in value["$stats"].items()}
-            return SMCStats(**fields)
+            return _construct(SMCStats, value["$stats"], _RETIRED_STATS_FIELDS)
         if tag == "$derep":
             payload = value["$derep"]
             return DerivationReport(

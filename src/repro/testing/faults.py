@@ -171,18 +171,6 @@ class FaultyTranslator(TraceTranslator):
     def injector(self) -> FaultInjector:
         return self._injector
 
-    def sync_calls(self, index: int) -> None:
-        """Re-align the injector's call counter to a global particle index.
-
-        Executor workers (:mod:`repro.parallel.worker`) call this before
-        translating particle ``index``, so an ``at_calls`` fault schedule
-        addresses particles by their *global* position — making scripted
-        chaos runs identical under every backend, worker count, and
-        chunking (a process worker's pickled injector copy would
-        otherwise restart counting at zero).
-        """
-        self._injector.calls = index
-
     def translate(self, rng: np.random.Generator, trace: Any) -> TranslationResult:
         kind = self._injector.decide()
         if kind == "error":
@@ -238,14 +226,7 @@ class FaultyDistribution(Distribution):
     ``sample``, which has no failure value of that shape).  Equality and
     support delegate to the inner distribution so reuse decisions are
     unaffected.
-
-    ``log_prob`` consumes injector decisions, so it is *not* a pure
-    function of ``(self, value)``: ``cacheable_log_prob`` is False so
-    the translator's log-prob cache never elides a call (which would
-    silently shift the fault schedule).
     """
-
-    cacheable_log_prob = False
 
     def __init__(self, inner: Distribution, injector: FaultInjector):
         self.inner = inner

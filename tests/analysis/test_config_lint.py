@@ -9,40 +9,9 @@ def codes(diagnostics):
     return {d.code for d in diagnostics}
 
 
-class _LambdaTranslator:
-    """A translator whose correspondence closes over a lambda."""
-
-    def __init__(self):
-        self.correspondence = lambda address: address
-
-    def translate(self, rng, item):  # pragma: no cover - never called
-        raise NotImplementedError
-
-
 class TestConfigLint:
     def test_default_config_is_clean(self):
         assert lint_config(InferenceConfig()) == []
-
-    def test_process_executor_with_lambda_translator_names_attribute(self):
-        diagnostics = lint_config(
-            InferenceConfig(executor="process"), _LambdaTranslator()
-        )
-        unpicklable = [d for d in diagnostics if d.code == "config-unpicklable"]
-        assert len(unpicklable) == 1
-        assert unpicklable[0].severity == "error"
-        # The finding names the exact offending attribute path.
-        assert "translator.correspondence" in unpicklable[0].message
-
-    def test_process_executor_with_picklable_translator_is_clean(self):
-        from repro.core.correspondence import Correspondence
-
-        class _Picklable:
-            correspondence = None
-
-        translator = _LambdaTranslator.__new__(_LambdaTranslator)
-        translator.correspondence = Correspondence.identity(["a"])
-        diagnostics = lint_config(InferenceConfig(executor="process"), translator)
-        assert "config-unpicklable" not in codes(diagnostics)
 
     def test_checkpoint_cadence_without_dir_warns(self):
         diagnostics = lint_config(InferenceConfig(checkpoint_every=5))
@@ -53,10 +22,6 @@ class TestConfigLint:
     def test_checkpoint_cadence_with_dir_is_clean(self):
         config = InferenceConfig(checkpoint_dir="ckpt", checkpoint_every=5)
         assert "config-checkpoint-cadence" not in codes(lint_config(config))
-
-    def test_workers_without_executor_warns(self):
-        diagnostics = lint_config(InferenceConfig(workers=4))
-        assert "config-workers-ignored" in codes(diagnostics)
 
     def test_ess_threshold_with_never_resample_warns(self):
         diagnostics = lint_config(

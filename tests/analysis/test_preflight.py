@@ -58,9 +58,9 @@ class TestValidateField:
 class TestPreflightInference:
     def test_combines_config_and_translator_findings(self):
         diagnostics = preflight_inference(
-            [_bad_translator()], InferenceConfig(workers=4)
+            [_bad_translator()], InferenceConfig(checkpoint_every=5)
         )
-        assert {"config-workers-ignored", "corr-support-mismatch"} <= {
+        assert {"config-checkpoint-cadence", "corr-support-mismatch"} <= {
             d.code for d in diagnostics
         }
 

@@ -187,6 +187,7 @@ class TestStepDispatch:
             config=InferenceConfig(),
         )
         assert step.stats.collection_mode == "object"
+        assert step.stats.spill_code is None
         assert isinstance(step.collection, WeightedCollection)
 
     def test_mcmc_kernel_spills_to_object(self):
@@ -255,7 +256,7 @@ class TestConfigSurface:
             f for f in dataclasses.fields(InferenceConfig) if not f.kw_only
         ]
         values = [
-            "never", 0.5, "multinomial", True, "fail_fast", None, None, None,
+            "never", 0.5, "multinomial", True, "fail_fast", None,
             NULL_TRACER, NULL_METRICS, NULL_HOOKS, None, 1, "off",
         ]
         assert len(values) == len(positional_fields)

@@ -5,8 +5,7 @@ Two tiers, matching the columnar runtime's contract:
 * **Bitwise** — for parameter-only edits (every address reused) the
   columnar step must reproduce the object step byte for byte: particle
   values, per-record log probs, log weights, the evidence increment, the
-  ESS, resampling indices, and posterior estimates.  Checked across the
-  inline loop and every executor backend at multiple worker counts, with
+  ESS, resampling indices, and posterior estimates.  Checked with
   resampling forced on.
 * **Statistical** — for structure-changing edits the columnar path draws
   fresh choices in a different RNG order (per-address instead of
@@ -38,19 +37,7 @@ from repro.regression.programs import (
     outlier_model,
 )
 
-#: Executor axis shared by the bitwise tests: backend name and worker
-#: count (None = the legacy inline loop fed by the shared step RNG).
-EXECUTORS = [
-    pytest.param(None, None, id="inline"),
-    pytest.param("serial", None, id="serial"),
-    pytest.param("thread", 1, id="thread-1"),
-    pytest.param("thread", 3, id="thread-3"),
-    pytest.param("process", 2, id="process-2"),
-]
-
-
 def _param_edit_fn(h, std, num_obs):
-    # Module-level so the translator pickles for the process executor.
     slope = h.sample(Normal(0.0, 2.0), "slope")
     intercept = h.sample(Normal(0.0, 2.0), "intercept")
     scale = h.sample(Gamma(2.0, 1.0), "scale")
@@ -107,8 +94,7 @@ def _fingerprint(collection):
 
 
 class TestBitwiseParameterOnly:
-    @pytest.mark.parametrize("executor,workers", EXECUTORS)
-    def test_step_identical_across_modes(self, executor, workers):
+    def test_step_identical_across_modes(self):
         translator = _param_edit_translator()
         population = _population(translator.source, n=24)
         results = {}
@@ -119,8 +105,6 @@ class TestBitwiseParameterOnly:
                 np.random.default_rng(42),
                 config=InferenceConfig(
                     resample="always",
-                    executor=executor,
-                    workers=workers,
                     collection=mode,
                 ),
             )

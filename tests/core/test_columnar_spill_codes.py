@@ -31,6 +31,8 @@ from repro.core import (
     WeightedCollection,
 )
 from repro.core.columnar import ColumnarSpill, columnar_infer_step
+from repro.core.smc import infer
+from repro.observability import MetricsRegistry
 from repro.distributions import Flip, Gamma, Normal
 from repro.distributions.base import Distribution, FiniteSupport, RealLine
 
@@ -393,6 +395,79 @@ class TestEveryCodeReachableAndPredicted:
         two_arg = ColumnarSpill("items", "not traces")
         assert (two_arg.code, two_arg.detail) == ("items", "not traces")
         assert "unspecified" in SPILL_CODES
+
+
+class TestSpillsAreReported:
+    """A spilled step names its reason in ``SMCStats.spill_code`` and
+    bumps the ``smc.columnar.spills.<code>`` counter once per step."""
+
+    @staticmethod
+    def _steps(translator, population, num_steps=2):
+        metrics = MetricsRegistry()
+        config = InferenceConfig(collection="columnar", metrics=metrics)
+        for seed in range(num_steps):
+            step = infer(
+                translator, population.copy(), np.random.default_rng(seed),
+                config=config,
+            )
+            yield step.stats, metrics.to_dict()
+
+    def test_statically_blocked_step(self):
+        translator = _translator(_flip_src, _branch_obs_tgt, ["x"])
+        population = _population(translator.source, 6)
+        blocking = plan_columnar_step(translator).blocking(num_particles=6)
+        assert blocking is not None
+        counter = f"smc.columnar.spills.{blocking.code}"
+        for number, (stats, metrics) in enumerate(
+            self._steps(translator, population), start=1
+        ):
+            assert stats.collection_mode == "object"
+            assert stats.spill_code == blocking.code
+            assert metrics[counter]["value"] == number
+
+    def test_second_order_hmm_step(self):
+        from repro.hmm import (
+            encode,
+            exact_first_order_trace,
+            first_order_model,
+            generate_corpus,
+            hidden_state_correspondence,
+            second_order_model,
+            train_first_order,
+            train_second_order,
+        )
+
+        rng = np.random.default_rng(0)
+        corpus = generate_corpus(rng, num_train_words=200, num_test_words=1)
+        p_params = train_first_order(corpus.train)
+        observations = encode(corpus.test[0][0])
+        p_model = first_order_model(p_params, observations)
+        translator = CorrespondenceTranslator(
+            p_model,
+            second_order_model(train_second_order(corpus.train), observations),
+            hidden_state_correspondence(),
+        )
+        population = WeightedCollection.uniform(
+            [exact_first_order_trace(p_params, observations, rng, p_model)
+             for _ in range(6)]
+        )
+        predicted = plan_columnar_step(translator).predicted_codes()
+        for number, (stats, metrics) in enumerate(
+            self._steps(translator, population), start=1
+        ):
+            assert stats.collection_mode == "object"
+            assert stats.spill_code == "dist-merge"
+            assert stats.spill_code in predicted
+            assert metrics["smc.columnar.spills.dist-merge"]["value"] == number
+
+    def test_columnar_step_reports_no_spill(self):
+        translator = _translator(_plain_src, _plain_tgt, ["x"])
+        ((stats, metrics),) = self._steps(
+            translator, _population(translator.source, 8), num_steps=1
+        )
+        assert stats.collection_mode == "columnar"
+        assert stats.spill_code is None
+        assert not any(".spills." in name for name in metrics)
 
 
 class TestCodeInventory:

@@ -270,6 +270,46 @@ class TestAuxiliaryTypes:
         assert isinstance(restored, SMCStats)
         assert restored == stats
 
+    def test_stats_in_retired_form_still_decode(self):
+        """A ``$stats`` payload as older writers stored it: with the
+        retired ``faults_by_worker`` key and without ``spill_code``."""
+        payload = serialize(SMCStats(12, 6.5, 12.0, True, -0.25, 0.1, 0.0))
+        fields = payload["value"]["$stats"]
+        del fields["spill_code"]
+        fields["faults_by_worker"] = None
+        restored = deserialize(payload)
+        assert restored == SMCStats(12, 6.5, 12.0, True, -0.25, 0.1, 0.0)
+        assert restored.spill_code is None
+
+    def test_stats_spill_code_round_trips(self):
+        stats = SMCStats(3, 3.0, 3.0, False, 0.0, 0.0, 0.0, spill_code="mcmc")
+        assert deserialize(serialize(stats)).spill_code == "mcmc"
+
+    @pytest.mark.parametrize("mutate", [
+        lambda fields: fields.update(bogus=1),
+        lambda fields: fields.pop("num_traces"),
+    ], ids=["unknown-field", "missing-required-field"])
+    def test_stats_field_mismatch_is_codec_error(self, mutate):
+        payload = serialize(SMCStats(3, 3.0, 3.0, False, 0.0, 0.0, 0.0))
+        mutate(payload["value"]["$stats"])
+        with pytest.raises(CodecError, match="SMCStats"):
+            deserialize(payload)
+
+    def test_stats_non_object_payload_is_codec_error(self):
+        with pytest.raises(CodecError):
+            deserialize({"format": "repro-store", "schema": SCHEMA_VERSION,
+                         "value": {"$stats": [1, 2]}})
+
+    @pytest.mark.parametrize("mutate", [
+        lambda fields: fields.update(bogus=1),
+        lambda fields: fields.clear(),
+    ], ids=["unknown-field", "missing-required-field"])
+    def test_ast_field_mismatch_is_codec_error(self, mutate):
+        payload = serialize(parse_program("x = flip(0.5); return x;"))
+        mutate(payload["value"]["f"])
+        with pytest.raises(CodecError):
+            deserialize(payload)
+
     def test_nested_containers(self):
         value = {
             "plain": [1, 2.5, "s", None, True],

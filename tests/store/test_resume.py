@@ -1,11 +1,12 @@
 """Kill-and-resume determinism for sequence and annealing runs.
 
 The headline property: a run resumed from its latest checkpoint produces
-the *byte-identical* final collection of the uninterrupted run — for
-every executor backend, because per-particle randomness comes from
-seeded streams and the checkpoint captures the generator state at the
-step boundary.
+the *byte-identical* final collection of the uninterrupted run, because
+the checkpoint captures the generator state at the step boundary.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -135,13 +136,39 @@ class TestResumeByteIdentity:
         )
         assert dumps(resumed) == dumps(full)
 
-    def test_thread_executor(self, tmp_path, chain):
+    def test_checkpoint_with_retired_stats_field_resumes(self, tmp_path, chain):
+        """Checkpoints written before ``SMCStats.faults_by_worker`` was
+        retired (and before ``spill_code`` existed) still resume."""
         models, translators = chain
-        kwargs = {"executor": "thread", "workers": 2}
-        full = run_full(translators, initial_collection(models), 7, **kwargs)
-        resumed = kill_and_resume(
-            tmp_path, translators, initial_collection(models), 7, 2, **kwargs
+        config = InferenceConfig(resample="adaptive", checkpoint_dir=str(tmp_path))
+        infer_sequence(
+            translators[:2],
+            initial_collection(models),
+            np.random.default_rng(7),
+            config=config,
         )
+        manager = CheckpointManager(tmp_path)
+        path = manager.path_for(manager.latest_step())
+        raw = path.read_bytes()
+        document = json.loads(raw[raw.index(b"\n") + 1:])
+        stats = document["value"]["extra"]["stats"]["$stats"]
+        del stats["spill_code"]
+        stats["faults_by_worker"] = None
+        body = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+        digest = hashlib.sha256(body).hexdigest()
+        path.write_bytes(f"REPRO-CKPT 1 {digest} {len(body)}\n".encode() + body)
+
+        checkpoint = CheckpointManager(tmp_path).load_latest()
+        assert checkpoint.extra["stats"].spill_code is None
+        completed = checkpoint.step + 1
+        resumed = infer_sequence(
+            translators[completed:],
+            checkpoint.collection,
+            checkpoint.rng,
+            config=InferenceConfig(resample="adaptive"),
+            step_offset=completed,
+        )[-1].collection
+        full = run_full(translators, initial_collection(models), seed=7)
         assert dumps(resumed) == dumps(full)
 
     def test_resume_via_loaded_checkpoint_bytes(self, tmp_path, chain):

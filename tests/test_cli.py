@@ -256,56 +256,31 @@ class TestExperimentCommand:
         assert parsed_metrics["smc.particles_translated"]["value"] > 0
 
 
-class TestTranslateExecutor:
-    def test_executor_flag_accepted(self, burglary_files, capsys):
-        old, new = burglary_files
-        assert main(["translate", old, new, "-n", "100", "--seed", "0",
-                     "--executor", "serial"]) == 0
-        assert "translated 100 traces" in capsys.readouterr().out
-
-    def test_executor_matches_serial_reference(self, burglary_files, capsys):
-        old, new = burglary_files
-
-        def posterior_lines(extra):
-            assert main(["translate", old, new, "-n", "200", "--seed", "4",
-                         *extra]) == 0
-            output = capsys.readouterr().out
-            return [l for l in output.splitlines() if l.startswith("P(")]
-
-        reference = posterior_lines(["--executor", "serial"])
-        assert posterior_lines(["--executor", "thread", "--workers", "2"]) == reference
-
-    def test_unknown_backend_rejected(self, burglary_files):
-        old, new = burglary_files
-        with pytest.raises(SystemExit):
-            main(["translate", old, new, "--executor", "gpu"])
-
-    def test_bad_worker_count_rejected(self, burglary_files):
-        old, new = burglary_files
-        with pytest.raises(SystemExit):
-            main(["translate", old, new, "--executor", "thread", "--workers", "0"])
-
-    def test_verbose_reports_worker_fault_column(self, burglary_files, capsys):
-        old, new = burglary_files
-        assert main(["translate", old, new, "-n", "30", "--seed", "0",
-                     "--fault-policy", "drop", "--verbose",
-                     "--executor", "thread", "--workers", "2"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        header = [l for l in lines if "by-worker" in l]
-        assert header, "expected the by-worker column in the step table"
-        (row,) = [l for l in lines if "w0=" in l]
-        # A clean run still reports explicit zeros for both workers.
-        assert "w0=0" in row and "w1=0" in row
-
-    def test_verbose_inline_loop_has_no_worker_breakdown(self, burglary_files,
-                                                         capsys):
+class TestTranslateStepTable:
+    def test_verbose_step_table_columns(self, burglary_files, capsys):
         old, new = burglary_files
         assert main(["translate", old, new, "-n", "30", "--seed", "0",
                      "--fault-policy", "drop", "--verbose"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        (row,) = [l.rstrip() for l in lines
-                  if l.strip().startswith("-") and l.rstrip().endswith("-")]
-        assert "w0=" not in row
+        (header,) = [l for l in lines if l.lstrip().startswith("step")]
+        assert header.split()[-1] == "faults"
+        (row,) = [l for l in lines if l.lstrip().startswith("-")]
+        assert len(row.split()) == len(header.split())
+
+    @pytest.mark.parametrize("command", ["translate", "sequence", "resume",
+                                         "experiment"])
+    @pytest.mark.parametrize("flag", [["--executor", "thread"],
+                                      ["--workers", "2"]])
+    def test_particle_executor_flags_are_gone(self, burglary_files, command,
+                                              flag, capsys):
+        old, new = burglary_files
+        positional = ["fig8"] if command == "experiment" else [old, new]
+        if command == "resume":
+            positional += ["--checkpoint-dir", "unused"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *positional, *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLint:
