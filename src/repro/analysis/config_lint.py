@@ -208,15 +208,4 @@ def lint_service_config(config: "ServiceConfig") -> List[Diagnostic]:
             "store_dir (failover recovers from fsynced checkpoints)",
             "service-replication-without-checkpoint-dir",
         )
-    if config.collection == "columnar":
-        finding(
-            "info",
-            "collection='columnar' backs served sessions with columnar "
-            "particle collections; programs in the structured language "
-            "spill to the object path before any randomness is consumed, "
-            "so results are byte-identical to collection='object' — but "
-            "only models the columnar runtime fully supports see the "
-            "vectorized speedup",
-            "service-columnar-unsupported-model",
-        )
     return diagnostics

@@ -89,10 +89,7 @@ class ColumnarSpill(Exception):
     human-readable ``detail``.
     """
 
-    def __init__(self, code: str, detail: Optional[str] = None):
-        if detail is None:
-            # Single-argument (legacy) form: the argument is the detail.
-            code, detail = "unspecified", code
+    def __init__(self, code: str, detail: str):
         self.code = code
         self.detail = detail
         super().__init__(f"[{code}] {detail}")

@@ -1,11 +1,8 @@
 """The unified inference configuration (:class:`InferenceConfig`).
 
-Before this module, every entry point grew its own ad-hoc keyword
-sprawl — ``infer(translator, traces, rng, mcmc_kernel, resample,
-ess_threshold, resampling_scheme, use_weights, fault_policy)`` — and the
-experiment runners timed themselves with scattered ``perf_counter``
-calls.  :class:`InferenceConfig` is the single keyword-only surface for
-everything that shapes an inference run:
+:class:`InferenceConfig` is the single keyword-only surface for
+everything that shapes an inference run (:func:`repro.core.smc.infer`
+and :func:`~repro.core.smc.infer_sequence` take it as ``config=``):
 
 * **statistical knobs** — resampling policy/threshold/scheme, the
   weight-ablation switch, the RNG seed;

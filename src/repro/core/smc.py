@@ -22,11 +22,6 @@ tracer, metrics registry, profiling hooks)::
                  config=InferenceConfig(resample="adaptive",
                                         fault_policy="drop"))
 
-The historical per-parameter keywords (``resample=``, ``ess_threshold=``,
-``resampling_scheme=``, ``use_weights=``, ``fault_policy=``) still work
-but emit :class:`DeprecationWarning`; they produce byte-identical
-results to the equivalent config.
-
 One translate loop
 ------------------
 
@@ -78,14 +73,13 @@ resampling, raising :class:`~repro.errors.NumericalError` or
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import RECOVERABLE_ERRORS, DegeneracyError, NumericalError
-from .config import FaultPolicy, InferenceConfig, RegenerateFn, _validate_parameters
+from .config import FaultPolicy, InferenceConfig, RegenerateFn
 from .mcmc import Kernel
 from .translator import TraceTranslator, validate_result
 from .weighted import WeightedCollection, log_sum_exp_array
@@ -101,10 +95,6 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
-
-#: Sentinel distinguishing "parameter not passed" from any real value in
-#: the deprecated per-parameter keywords.
-_UNSET: Any = object()
 
 
 @dataclass
@@ -299,36 +289,6 @@ class _FaultCounters:
         self.retried += retried
         self.dropped += dropped
         self.regenerated += regenerated
-
-
-def _merge_legacy_config(
-    caller: str,
-    config: Optional[InferenceConfig],
-    default: InferenceConfig,
-    **legacy: Any,
-) -> InferenceConfig:
-    """Fold deprecated per-parameter keywords into an InferenceConfig.
-
-    The old signatures keep working, but each use warns once per call
-    site; mixing them with an explicit ``config`` is ambiguous (which
-    value wins?) and is rejected outright.
-    """
-    given = {name: value for name, value in legacy.items() if value is not _UNSET}
-    if not given:
-        return config if config is not None else default
-    if config is not None:
-        raise TypeError(
-            f"{caller}() got both config= and the deprecated parameter(s) "
-            f"{sorted(given)}; pass everything through InferenceConfig"
-        )
-    names = ", ".join(sorted(given))
-    warnings.warn(
-        f"{caller}({names}=...) is deprecated; pass "
-        f"config=InferenceConfig({names}=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return default.replace(**given)
 
 
 def _resolve_rng(
@@ -551,11 +511,6 @@ def infer(
     traces: WeightedCollection,
     rng: Optional[np.random.Generator] = None,
     mcmc_kernel: Optional[Kernel] = None,
-    resample: Any = _UNSET,
-    ess_threshold: Any = _UNSET,
-    resampling_scheme: Any = _UNSET,
-    use_weights: Any = _UNSET,
-    fault_policy: Any = _UNSET,
     *,
     config: Optional[InferenceConfig] = None,
 ) -> SMCStep:
@@ -580,23 +535,9 @@ def infer(
         Keyword-only :class:`InferenceConfig` carrying everything else:
         resampling policy/threshold/scheme, the weight ablation, the
         fault policy, the seed, and the observability sinks.
-
-    The remaining positional-or-keyword parameters (``resample``,
-    ``ess_threshold``, ``resampling_scheme``, ``use_weights``,
-    ``fault_policy``) are the deprecated pre-config spelling; they still
-    work, emit :class:`DeprecationWarning`, and cannot be combined with
-    ``config``.
     """
-    config = _merge_legacy_config(
-        "infer",
-        config,
-        InferenceConfig(),
-        resample=resample,
-        ess_threshold=ess_threshold,
-        resampling_scheme=resampling_scheme,
-        use_weights=use_weights,
-        fault_policy=fault_policy,
-    )
+    if config is None:
+        config = InferenceConfig()
     rng = _resolve_rng("infer", rng, config)
     _run_preflight([translator], config)
     return _infer_step(translator, traces, rng, mcmc_kernel, config)
@@ -607,10 +548,6 @@ def infer_sequence(
     initial: WeightedCollection,
     rng: Optional[np.random.Generator] = None,
     mcmc_kernels: Optional[Sequence[Optional[Kernel]]] = None,
-    resample: Any = _UNSET,
-    ess_threshold: Any = _UNSET,
-    resampling_scheme: Any = _UNSET,
-    fault_policy: Any = _UNSET,
     *,
     config: Optional[InferenceConfig] = None,
     step_offset: int = 0,
@@ -630,9 +567,8 @@ def infer_sequence(
     address map is needed.
 
     Configuration follows :func:`infer` (one keyword-only
-    :class:`InferenceConfig`, shared by every step; the deprecated
-    per-parameter keywords still work) except that the default
-    resampling policy is ``"adaptive"``.  The hooks' ``on_step_start``
+    :class:`InferenceConfig`, shared by every step) except that the
+    default resampling policy is ``"adaptive"``.  The hooks' ``on_step_start``
     receives the step index, and a
     :class:`~repro.errors.DegeneracyError` raised mid-sequence is
     annotated with the index of the offending step.
@@ -661,15 +597,8 @@ def infer_sequence(
         from ..derive import derive_sequence_translators
 
         translators = derive_sequence_translators(translators)
-    config = _merge_legacy_config(
-        "infer_sequence",
-        config,
-        InferenceConfig(resample="adaptive"),
-        resample=resample,
-        ess_threshold=ess_threshold,
-        resampling_scheme=resampling_scheme,
-        fault_policy=fault_policy,
-    )
+    if config is None:
+        config = InferenceConfig(resample="adaptive")
     rng = _resolve_rng("infer_sequence", rng, config)
     _run_preflight(list(translators), config)
     if mcmc_kernels is None:

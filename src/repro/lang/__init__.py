@@ -43,7 +43,7 @@ from .ast import (
     While,
     seq,
 )
-from .check import Diagnostic, check_program
+from .check import check_program
 from .types import ARRAY, SCALAR, UNKNOWN, check_kinds
 from .optimize import fold_constants, fold_expr
 from .interp import EvalError, choice_address, distribution_of, interpret, lang_model
@@ -122,7 +122,6 @@ __all__ = [
     "assigned_variables",
     "equal_modulo_labels",
     "relabel",
-    "Diagnostic",
     "check_program",
     "check_kinds",
     "SCALAR",

@@ -22,10 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-# The diagnostic type moved to the analysis framework (repro.analysis);
-# re-exported here so the historical ``from repro.lang.check import
-# Diagnostic`` import keeps working.  The framework type is positionally
-# compatible (``Diagnostic("error", message)``) and renders identically.
 from ..analysis.diagnostics import Diagnostic
 
 from .optimize import fold_expr
@@ -54,7 +50,7 @@ from .ast import (
     While,
 )
 
-__all__ = ["Diagnostic", "check_program"]
+__all__ = ["check_program"]
 
 
 class _Checker:

@@ -72,12 +72,6 @@ class ServiceConfig:
     shard_start_timeout_s:
         How long the router waits for a spawned shard process to bind
         its socket and answer the ``hello`` handshake.
-    collection:
-        Particle-collection mode handed to every session's
-        :class:`~repro.core.config.InferenceConfig` (``"object"`` or
-        ``"columnar"``).  Columnar steps that the vectorized runtime
-        cannot represent spill to the object path per step, exactly as
-        in offline inference (spill rules unchanged).
     queue_depth:
         Bound of each shard's pending-request queue.  A full queue
         rejects with :class:`~repro.errors.OverloadedError` and a
@@ -132,7 +126,6 @@ class ServiceConfig:
     shard_processes: int = 0
     replicate: bool = False
     shard_start_timeout_s: float = 30.0
-    collection: str = "object"
     queue_depth: int = 16
     max_sessions_per_tenant: int = 8
     max_inflight_per_tenant: int = 4
@@ -173,11 +166,6 @@ class ServiceConfig:
                 f"{self.shard_start_timeout_s!r}"
             )
         object.__setattr__(self, "shard_start_timeout_s", timeout)
-        if self.collection not in ("object", "columnar"):
-            raise ValueError(
-                f"unknown collection mode {self.collection!r}; "
-                "choose 'object' or 'columnar'"
-            )
         if int(self.queue_depth) < 0:
             raise ValueError(
                 f"queue_depth must be >= 0 (0 = unbounded), got {self.queue_depth!r}"

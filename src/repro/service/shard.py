@@ -112,7 +112,7 @@ class ShardServer:
     Parameters
     ----------
     config:
-        The service config (the shard uses ``store_dir``, ``collection``,
+        The service config (the shard uses ``store_dir``,
         ``checkpoint_keep``, ``session_capacity``, ``num_particles``,
         ``max_frame_bytes``).
     shard_id:

@@ -61,8 +61,9 @@ def value_histogram(collection: Any, top: int = 10) -> List[Dict[str, Any]]:
     if hasattr(collection, "items"):
         particles: Any = collection.items
     else:
-        # Columnar collections expose per-particle views instead of a
-        # trace list; the views carry the same ``return_value``.
+        # A session recovered from a columnar (``$ccoll``) snapshot holds
+        # a ColumnarCollection until its next edit; its per-particle
+        # views carry the same ``return_value``.
         particles = (collection.particle(i) for i in range(len(collection)))
     for trace, weight in zip(particles, weights):
         key = trace.return_value
@@ -123,13 +124,7 @@ class DurableSessionStore:
         root = None if config.store_dir is None else Path(config.store_dir)
         self.root = root
         lru_dir = None if root is None else root / "lru"
-        # The per-session inference config: the service-level collection
-        # mode (object vs columnar) rides in here; columnar steps the
-        # vectorized runtime cannot represent spill to the object path
-        # per step, exactly as in offline inference.
-        self._session_config = InferenceConfig(
-            resample="adaptive", collection=config.collection
-        )
+        self._session_config = InferenceConfig(resample="adaptive")
         self.manager = SessionManager(
             lru_dir,
             capacity=config.session_capacity,

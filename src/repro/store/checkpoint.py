@@ -35,10 +35,11 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..core.columnar import ColumnarCollection
 from ..core.weighted import WeightedCollection
 from ..errors import CheckpointCorruptionError, CodecError, SchemaVersionError
 from .codec import dumps, loads
@@ -49,13 +50,16 @@ _HEADER_PREFIX = b"REPRO-CKPT"
 _HEADER_VERSION = 1
 _STEP_FILE = re.compile(r"^step-(\d{8})\.ckpt$")
 
+#: A run checkpoints whichever representation its last step produced.
+ParticleCollection = Union[WeightedCollection, ColumnarCollection]
+
 
 @dataclass
 class Checkpoint:
     """One loaded checkpoint."""
 
     step: int
-    collection: WeightedCollection
+    collection: ParticleCollection
     rng: Optional[np.random.Generator]
     extra: Dict[str, Any] = field(default_factory=dict)
     path: Optional[Path] = None
@@ -143,7 +147,7 @@ class CheckpointManager:
     def save(
         self,
         step: int,
-        collection: WeightedCollection,
+        collection: ParticleCollection,
         rng: Optional[np.random.Generator] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> Path:
@@ -178,7 +182,7 @@ class CheckpointManager:
     def maybe_save(
         self,
         step: int,
-        collection: WeightedCollection,
+        collection: ParticleCollection,
         rng: Optional[np.random.Generator] = None,
         extra: Optional[Dict[str, Any]] = None,
         *,
@@ -302,9 +306,9 @@ class CheckpointManager:
                 f"checkpoint {path} claims step {step}, expected {expected_step}"
             )
         collection = payload.get("collection")
-        if not isinstance(collection, WeightedCollection):
+        if not isinstance(collection, (WeightedCollection, ColumnarCollection)):
             raise CheckpointCorruptionError(
-                f"checkpoint {path} carries no weighted collection"
+                f"checkpoint {path} carries no particle collection"
             )
         return Checkpoint(
             step=step,

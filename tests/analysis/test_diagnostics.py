@@ -24,9 +24,10 @@ class TestDiagnostic:
         assert "[corr-not-injective]" in str(d)
 
     def test_is_shared_with_lang_check(self):
-        from repro.lang.check import Diagnostic as LangDiagnostic
+        from repro.lang import check_program, parse_program
 
-        assert LangDiagnostic is Diagnostic
+        (finding,) = check_program(parse_program("return y;"))
+        assert type(finding) is Diagnostic
 
     def test_with_context_fills_only_unset(self):
         d = Diagnostic("info", "m", pass_name="edits")

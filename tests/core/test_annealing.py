@@ -102,7 +102,7 @@ class TestParticleFilter:
                 trace, log_weight = models[0].generate(rng)
                 traces.append(trace)
                 log_weights.append(log_weight)
-            from repro import WeightedCollection, infer
+            from repro import InferenceConfig, WeightedCollection, infer
 
             collection = WeightedCollection(traces, log_weights)
             log_z = collection.log_mean_weight()
@@ -113,7 +113,9 @@ class TestParticleFilter:
                 translator = CorrespondenceTranslator(
                     models[i], models[i + 1], correspondence
                 )
-                step = infer(translator, collection, rng, resample="always")
+                step = infer(
+                    translator, collection, rng, config=InferenceConfig(resample="always")
+                )
                 log_z += step.stats.log_mean_weight_increment
                 collection = step.collection
             estimates.append(log_z)

@@ -387,15 +387,6 @@ class TestEveryCodeReachableAndPredicted:
         # step still probed (no certain finding).
         assert plan.eligible
 
-    def test_unspecified_legacy_constructor(self):
-        spill = ColumnarSpill("just a detail")
-        assert spill.code == "unspecified"
-        assert spill.detail == "just a detail"
-        assert str(spill) == "[unspecified] just a detail"
-        two_arg = ColumnarSpill("items", "not traces")
-        assert (two_arg.code, two_arg.detail) == ("items", "not traces")
-        assert "unspecified" in SPILL_CODES
-
 
 class TestSpillsAreReported:
     """A spilled step names its reason in ``SMCStats.spill_code`` and
@@ -489,7 +480,6 @@ class TestCodeInventory:
             "return-value",
             "control-flow",
             "execution",
-            "unspecified",
         }
         assert exercised == set(SPILL_CODES)
 

@@ -1,12 +1,9 @@
-"""InferenceConfig API: validation, shims, and the null-instrumentation identity.
+"""InferenceConfig API: validation, the one signature, and the null-instrumentation identity.
 
-The two contracts the redesign must not break:
-
-* the deprecated per-parameter keywords produce **identical** results to
-  the equivalent ``InferenceConfig`` for a fixed seed (the shims change
-  the spelling, never the sampled numbers);
-* attaching real observability sinks never touches the RNG stream, so
-  estimates and ``SMCStats`` are byte-identical with tracing on or off.
+``InferenceConfig`` is the only way to configure a step: the retired
+per-parameter keywords raise ``TypeError``.  Attaching real
+observability sinks never touches the RNG stream, so estimates and
+``SMCStats`` are byte-identical with tracing on or off.
 """
 
 import dataclasses
@@ -121,25 +118,22 @@ class TestConfigValidation:
 
 
 class TestDeprecationShims:
-    def test_legacy_keyword_warns(self, translator):
-        collection = make_collection(translator)
-        with pytest.warns(DeprecationWarning, match="InferenceConfig"):
-            infer(translator, collection, np.random.default_rng(0), resample="always")
+    """The pre-config per-parameter keywords are retired, not shimmed."""
 
-    def test_legacy_sequence_keyword_warns(self, translator):
+    def test_retired_spellings_raise_type_error(self, translator):
         collection = make_collection(translator)
-        with pytest.warns(DeprecationWarning, match="InferenceConfig"):
-            infer_sequence(
-                [translator],
-                collection,
-                np.random.default_rng(0),
-                ess_threshold=0.25,
-            )
+        rng = np.random.default_rng(0)
+        with pytest.raises(TypeError, match="resample"):
+            infer(translator, collection, rng, resample="always")
+        with pytest.raises(TypeError, match="ess_threshold"):
+            infer_sequence([translator], collection, rng, ess_threshold=0.25)
+        with pytest.raises(TypeError, match="positional"):
+            infer(translator, collection, rng, None, "always")
 
     def test_config_path_does_not_warn(self, translator):
         collection = make_collection(translator)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             infer(
                 translator,
                 collection,
@@ -152,45 +146,6 @@ class TestDeprecationShims:
                 np.random.default_rng(0),
                 config=InferenceConfig(),
             )
-
-    def test_legacy_and_config_together_rejected(self, translator):
-        collection = make_collection(translator)
-        with pytest.raises(TypeError, match="config"):
-            infer(
-                translator,
-                collection,
-                np.random.default_rng(0),
-                resample="always",
-                config=InferenceConfig(),
-            )
-
-    def test_legacy_values_still_validated(self, translator):
-        collection = make_collection(translator)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="resample"):
-                infer(translator, collection, np.random.default_rng(0), resample="bogus")
-
-    def test_legacy_matches_config_exactly(self, translator):
-        collection = make_collection(translator)
-        with pytest.warns(DeprecationWarning):
-            legacy = infer(
-                translator,
-                collection,
-                np.random.default_rng(42),
-                resample="always",
-                resampling_scheme="systematic",
-            )
-        modern = infer(
-            translator,
-            collection,
-            np.random.default_rng(42),
-            config=InferenceConfig(resample="always", resampling_scheme="systematic"),
-        )
-        assert legacy.stats.ess_before_resample == modern.stats.ess_before_resample
-        assert legacy.collection.log_weights == modern.collection.log_weights
-        assert [t.choices() for t in legacy.collection.items] == [
-            t.choices() for t in modern.collection.items
-        ]
 
     def test_rng_falls_back_to_config_seed(self, translator):
         collection = make_collection(translator)

@@ -10,7 +10,7 @@ against exact enumeration on discrete lang programs).
 import numpy as np
 import pytest
 
-from repro import WeightedCollection, infer, infer_sequence
+from repro import InferenceConfig, WeightedCollection, infer, infer_sequence
 from repro.graph import GraphTranslator, replace_constant, run_initial
 from repro.lang import lang_model, parse_program
 from repro.core.enumerate import exact_choice_marginal
@@ -56,7 +56,7 @@ class TestGraphSMC:
         source, target = programs
         translator = GraphTranslator(source, target)
         collection = graph_posterior_input(source, rng, 500)
-        step = infer(translator, collection, rng, resample="always")
+        step = infer(translator, collection, rng, config=InferenceConfig(resample="always"))
         assert step.stats.resampled
         assert all(w == 0.0 for w in step.collection.log_weights)
 
@@ -70,7 +70,9 @@ class TestGraphSMC:
             for i in range(len(programs) - 1)
         ]
         collection = graph_posterior_input(programs[0], rng, 4000)
-        steps = infer_sequence(translators, collection, rng, resample="adaptive")
+        steps = infer_sequence(
+            translators, collection, rng, config=InferenceConfig(resample="adaptive")
+        )
         final = steps[-1].collection
         x_label = [a for a in final.items[0].choices() if a[0].startswith("flip:3")][0]
         truth = exact_choice_marginal(lang_model(programs[-1]), x_label)[1]
@@ -103,7 +105,9 @@ class TestGraphSMC:
         injector = FaultInjector(seed=41, error_rate=0.2)
         translator = FaultyTranslator(GraphTranslator(source, target), injector)
         collection = graph_posterior_input(source, rng, 4000)
-        step = infer(translator, collection, rng, fault_policy="regenerate")
+        step = infer(
+            translator, collection, rng, config=InferenceConfig(fault_policy="regenerate")
+        )
         assert step.stats.failed > 0
         x_label = [a for a in step.collection.items[0].choices() if a[0].startswith("flip:3")][0]
         truth = exact_choice_marginal(lang_model(target), x_label)[1]

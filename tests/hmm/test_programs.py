@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import CorrespondenceTranslator, WeightedCollection, infer
+from repro import CorrespondenceTranslator, InferenceConfig, WeightedCollection, infer
 from repro.core.mcmc import gibbs_sweep, chain
 from repro.hmm import (
     FirstOrderParams,
@@ -134,7 +134,12 @@ class TestIncrementalHMM:
             for _ in range(4000)
         ]
         translator = CorrespondenceTranslator(p, q, hidden_state_correspondence())
-        step = infer(translator, WeightedCollection.uniform(traces), rng, use_weights=False)
+        step = infer(
+            translator,
+            WeightedCollection.uniform(traces),
+            rng,
+            config=InferenceConfig(use_weights=False),
+        )
         first_marginals = posterior_marginals(first_params, OBSERVATIONS)
         for i in range(len(OBSERVATIONS)):
             estimate = step.collection.estimate_probability(

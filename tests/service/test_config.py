@@ -71,7 +71,6 @@ class TestScaleOutFields:
         config = ServiceConfig()
         assert config.shard_processes == 0
         assert config.replicate is False
-        assert config.collection == "object"
 
     def test_negative_shard_processes_rejected(self):
         with pytest.raises(ValueError, match="shard_processes"):
@@ -85,11 +84,6 @@ class TestScaleOutFields:
     def test_zero_processes_keeps_requested_shards(self):
         assert ServiceConfig(num_shards=7).num_shards == 7
 
-    def test_collection_validated(self):
-        assert ServiceConfig(collection="columnar").collection == "columnar"
-        with pytest.raises(ValueError, match="collection"):
-            ServiceConfig(collection="sparse")
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_start_timeout_must_be_positive(self, bad):
         with pytest.raises(ValueError, match="shard_start_timeout_s"):
@@ -99,8 +93,7 @@ class TestScaleOutFields:
         # The pool serializes the config to JSON for the shard children;
         # a round trip must reproduce the same config.
         config = ServiceConfig(
-            shard_processes=2, replicate=True, collection="columnar",
-            store_dir="store",
+            shard_processes=2, replicate=True, store_dir="store",
         )
         assert ServiceConfig(**config.to_dict()) == config
 

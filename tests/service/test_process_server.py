@@ -128,25 +128,6 @@ class TestProcessMode:
             client.client.close()
             handle.stop()
 
-    def test_columnar_process_service_matches_object(self, tmp_path):
-        # Satellite check at full depth: the same served workload through
-        # object-mode and columnar-mode process fleets commits identical
-        # results (structured-language programs spill before any RNG use).
-        results = {}
-        for mode in ("object", "columnar"):
-            handle = ServiceHandle.start(
-                _config(tmp_path / mode, collection=mode, replicate=False)
-            )
-            client = _client(handle)
-            try:
-                client.create("s0", PROGRAM, seed=3)
-                client.observe("s0", OBSERVE)
-                results[mode] = client.posterior("s0", top=5)
-            finally:
-                client.client.close()
-                handle.stop()
-        assert results["object"] == results["columnar"]
-
 
 class TestPoolNegotiation:
     def test_old_shard_build_fails_pool_startup(self, tmp_path):

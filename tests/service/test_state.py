@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import ColumnarCollection
 from repro.errors import BadRequestError, SessionError
 from repro.service import ServiceConfig
 from repro.service.state import (
@@ -10,6 +11,7 @@ from repro.service.state import (
     insert_observation,
     value_histogram,
 )
+from repro.store import CheckpointManager
 
 PROGRAM = "x = gauss(0.0, 2.0);\nreturn x;"
 NUM_PARTICLES = 20
@@ -155,47 +157,31 @@ class TestDurability:
 
 
 class TestColumnarServiceEquivalence:
-    def _run(self, tmp_path, collection):
+    def test_columnar_sessions_match_object_sessions(self, tmp_path):
+        """A store whose sessions committed columnar (``$ccoll``)
+        snapshots still recovers under the object-only service."""
         config = ServiceConfig(
-            store_dir=str(tmp_path / collection),
-            num_particles=NUM_PARTICLES,
-            collection=collection,
+            store_dir=str(tmp_path / "object"), num_particles=NUM_PARTICLES
         )
         store = DurableSessionStore(config)
         store.create_session("a", "s1", PROGRAM, env=None, num_particles=None, seed=5)
         store.apply_observation("s1", "observe(gauss(x, 1.0) == 0.7);")
-        store.apply_edit("s1", "x = gauss(0.5, 2.0);\nreturn x;")
-        return store
-
-    def test_columnar_sessions_match_object_sessions(self, tmp_path):
-        # Served programs run through the structured-language
-        # interpreter, which spills columnar steps to the object path
-        # before any randomness is consumed — so the two collection
-        # modes must commit byte-identical posteriors.
-        object_store = self._run(tmp_path, "object")
-        columnar_store = self._run(tmp_path, "columnar")
-        assert object_store.posterior("s1", top=8) == columnar_store.posterior(
-            "s1", top=8
+        latest = CheckpointManager(tmp_path / "object" / "checkpoints" / "s1").load_latest()
+        CheckpointManager(tmp_path / "legacy" / "checkpoints" / "s1").save(
+            latest.step,
+            ColumnarCollection.from_weighted(latest.collection),
+            rng=latest.rng,
+            extra=latest.extra,
         )
-        # The durable encodings differ by representation (columnar
-        # stores columns), but the particles they describe are bitwise
-        # the same once viewed as object traces.
-        object_collection = object_store.manager.get("s1").collection
-        columnar_collection = columnar_store.manager.get("s1").collection
-        assert type(columnar_collection).__name__ == "ColumnarCollection"
-        roundtripped = columnar_collection.to_weighted()
-        assert list(object_collection.log_weights) == list(
-            roundtripped.log_weights
+        legacy = DurableSessionStore(
+            ServiceConfig(store_dir=str(tmp_path / "legacy"), num_particles=NUM_PARTICLES)
         )
-        assert [t.return_value for t in object_collection.items] == [
-            t.return_value for t in roundtripped.items
-        ]
-
-    def test_session_config_carries_collection_mode(self, tmp_path):
-        store = DurableSessionStore(
-            ServiceConfig(store_dir=str(tmp_path), collection="columnar")
-        )
-        assert store._session_config.collection == "columnar"
+        assert legacy.recover() == ["s1"]
+        assert isinstance(legacy.manager.get("s1").collection, ColumnarCollection)
+        assert legacy.posterior("s1", top=8) == store.posterior("s1", top=8)
+        edit = "x = gauss(0.5, 2.0);\nreturn x;"
+        assert legacy.apply_edit("s1", edit) == store.apply_edit("s1", edit)
+        assert legacy.posterior("s1", top=8) == store.posterior("s1", top=8)
 
 
 class TestLazySessionLifecycle:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ColumnarCollection,
     CorrespondenceTranslator,
     InferenceConfig,
     Model,
@@ -134,6 +135,26 @@ class TestResumeByteIdentity:
         resumed = kill_and_resume(
             tmp_path, translators, initial_collection(models), 7, kill_after
         )
+        assert dumps(resumed) == dumps(full)
+
+    def test_columnar_run_resumes(self, tmp_path, chain):
+        """A run that stays columnar checkpoints ``$ccoll`` snapshots;
+        they load, and the resumed run matches the uninterrupted bytes."""
+        models, translators = chain
+        full = run_full(
+            translators, initial_collection(models), seed=7, collection="columnar"
+        )
+        assert isinstance(full, ColumnarCollection)
+        resumed = kill_and_resume(
+            tmp_path,
+            translators,
+            initial_collection(models),
+            7,
+            kill_after=1,
+            collection="columnar",
+        )
+        latest = CheckpointManager(tmp_path).load_latest()
+        assert isinstance(latest.collection, ColumnarCollection)
         assert dumps(resumed) == dumps(full)
 
     def test_checkpoint_with_retired_stats_field_resumes(self, tmp_path, chain):

@@ -448,6 +448,12 @@ class TestServeAndLoadgen:
         assert info.value.code == 2
         assert "NAME=RANK" in capsys.readouterr().err
 
+    def test_serve_collection_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--collection", "object"])
+        assert info.value.code == 2
+        assert "--collection" in capsys.readouterr().err
+
     def test_loadgen_bad_workload_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["loadgen", "--port", "1", "--workload", "nonsense"])
